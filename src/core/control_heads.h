@@ -43,6 +43,7 @@ struct HeadsConfig {
 class ControlHeads : public nn::Module {
  public:
   ControlHeads() = default;
+  /// A null `rng` shapes every parameter without drawing it (see nn/init.h).
   ControlHeads(const HeadsConfig& cfg, util::Rng* rng);
 
   // Movable (the fold cache is dropped, not moved — it is rebuilt lazily);

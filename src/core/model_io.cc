@@ -99,7 +99,17 @@ Status SaveModelToFile(const SelNetCt& model, std::FILE* f,
   return nn::WriteParamsPayload(f, model.Params(), path);
 }
 
-Result<std::unique_ptr<SelNetCt>> LoadModelFromFile(std::FILE* f,
+}  // namespace
+
+/// SelNetCt's loader: the only code outside the class that may build a
+/// shape-only model, because it overwrites every parameter right after.
+class ModelReader {
+ public:
+  static Result<std::unique_ptr<SelNetCt>> Read(std::FILE* f,
+                                                const std::string& path);
+};
+
+Result<std::unique_ptr<SelNetCt>> ModelReader::Read(std::FILE* f,
                                                     const std::string& path) {
   char magic[4];
   uint32_t version = 0;
@@ -124,15 +134,15 @@ Result<std::unique_ptr<SelNetCt>> LoadModelFromFile(std::FILE* f,
                            "': truncated config (failed reading field '" +
                            field + "')");
   }
-  auto model = std::make_unique<SelNetCt>(cfg);
+  // Shape only: every parameter is read from the payload below, so initial
+  // weight draws would be thrown away.
+  std::unique_ptr<SelNetCt> model(new SelNetCt(cfg, /*init_weights=*/false));
   SEL_RETURN_NOT_OK(nn::ReadParamsPayload(f, model->Params(), "model file",
                                           path,
                                           /*checksummed=*/version >= 2));
   model->InvalidateInferenceCache();  // Params were overwritten wholesale.
   return model;
 }
-
-}  // namespace
 
 Status SaveModel(const SelNetCt& model, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
@@ -143,7 +153,7 @@ Status SaveModel(const SelNetCt& model, const std::string& path) {
 Result<std::unique_ptr<SelNetCt>> LoadModel(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::IOError("cannot open for read: " + path);
-  return LoadModelFromFile(f.get(), path);
+  return ModelReader::Read(f.get(), path);
 }
 
 Result<std::string> SaveModelBytes(const SelNetCt& model) {
@@ -173,7 +183,7 @@ Result<std::unique_ptr<SelNetCt>> LoadModelBytes(const std::string& bytes,
                            std::to_string(bytes.size()) + " bytes)");
   }
   FilePtr closer(f);
-  return LoadModelFromFile(f, origin);
+  return ModelReader::Read(f, origin);
 }
 
 }  // namespace selnet::core

@@ -20,6 +20,12 @@
 /// processes: the SAME encoding that lands on disk travels over the wire, so
 /// a shard restored from a transfer serves bit-identical answers to one
 /// restored from a file.
+///
+/// Loading shapes the model without drawing initial weights (every parameter
+/// is then read from the payload), so a loaded model's rng stream starts at
+/// the constructor seed. The stream is not serialized: only training a loaded
+/// model can observe it, and such training differs from continuing the saved
+/// model's own training.
 
 namespace selnet::core {
 

@@ -49,7 +49,8 @@ struct SelNetConfig {
 class SelNetCt : public eval::Estimator, public eval::SweepCapable,
                  public nn::Module, public IncrementalModel {
  public:
-  explicit SelNetCt(const SelNetConfig& cfg);
+  explicit SelNetCt(const SelNetConfig& cfg)
+      : SelNetCt(cfg, /*init_weights=*/true) {}
 
   std::string Name() const override {
     return cfg_.query_dependent_tau ? "SelNet-ct" : "SelNet-ad-ct";
@@ -70,7 +71,8 @@ class SelNetCt : public eval::Estimator, public eval::SweepCapable,
   /// \brief Deep copy: same config, parameter values, rng state and
   /// pretraining flag, but entirely fresh autograd leaves — the clone and the
   /// source share no mutable state, so one may train while the other serves.
-  /// The clone's inference/pack caches start invalidated.
+  /// The clone's inference/pack caches start invalidated. Parameters are
+  /// shaped, not initialized, before the copy: no rng draws are wasted.
   std::unique_ptr<SelNetCt> Clone() const;
 
   /// \brief Learned control points for a single query (Figure 4).
@@ -124,6 +126,14 @@ class SelNetCt : public eval::Estimator, public eval::SweepCapable,
   }
 
  private:
+  /// Fills a shape-only model from a SaveModel encoding (core/model_io.cc).
+  friend class ModelReader;
+
+  /// `init_weights` false shapes every parameter zero-filled without drawing
+  /// from `rng_`: for callers that overwrite every parameter next (loading,
+  /// Clone). `rng_` then stays at its constructor seed.
+  SelNetCt(const SelNetConfig& cfg, bool init_weights);
+
   /// One optimizer step on a batch; returns the loss value.
   double TrainBatch(const data::Batch& batch, nn::Optimizer* opt);
   /// Run one epoch over shuffled training samples.

@@ -253,10 +253,10 @@ std::unique_ptr<SelNetPartitioned> SelNetPartitioned::Clone() const {
   clone->ae_pretrained_ = ae_pretrained_;
   clone->local_y_ = local_y_;
   clone->mask_ = mask_;
-  // Fresh heads (fresh autograd leaves); the init draws below are discarded
-  // when the rng stream is overwritten with the source's.
+  // Fresh heads (fresh autograd leaves), shaped without init draws: every
+  // value is copied below and the rng stream is the source's.
   clone->heads_.reserve(heads_.size());
-  for (const auto& h : heads_) clone->heads_.emplace_back(h.config(), &clone->rng_);
+  for (const auto& h : heads_) clone->heads_.emplace_back(h.config(), nullptr);
   std::vector<ag::Var> src = Params();
   std::vector<ag::Var> dst = clone->Params();
   SEL_CHECK_EQ(src.size(), dst.size());

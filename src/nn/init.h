@@ -5,6 +5,10 @@
 
 /// \file init.h
 /// \brief Weight initialization schemes.
+///
+/// A null `rng` returns a zero matrix of the same shape and draws nothing:
+/// the shape-only path for callers that overwrite every value next (model
+/// loading, deep copies).
 
 namespace selnet::nn {
 

@@ -12,6 +12,8 @@ namespace selnet::nn {
 class Linear : public Module {
  public:
   Linear() = default;
+  /// A null `rng` shapes the weights without drawing them (zero-filled; see
+  /// nn/init.h).
   Linear(size_t in, size_t out, util::Rng* rng, bool he_init = true);
 
   /// \brief Forward pass: (B x in) -> (B x out).

@@ -19,6 +19,7 @@ class Mlp : public Module {
   Mlp() = default;
 
   /// \param dims layer widths, e.g. {in, 512, 512, out}
+  /// \param rng weight-init stream; null shapes the layers zero-filled.
   Mlp(const std::vector<size_t>& dims, util::Rng* rng,
       Activation hidden = Activation::kRelu,
       Activation output_activation = Activation::kNone);

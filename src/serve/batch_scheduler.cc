@@ -70,7 +70,6 @@ void BatchScheduler::SubmitRows(std::vector<Row> rows) {
     for (Row& row : rows) row.done(0.0f, err, RowTiming{});
     return;
   }
-  const bool was_empty = pending_.empty();
   std::vector<Row> rejected;
   for (Row& row : rows) {
     // DispatchLocked drops the lock around the pool handoff, so Shutdown can
@@ -82,9 +81,12 @@ void BatchScheduler::SubmitRows(std::vector<Row> rows) {
     pending_.push_back(std::move(row));
     if (pending_.size() >= cfg_.max_batch) DispatchLocked(&lock);
   }
-  // One wake at most, and only on the empty->non-empty transition — the same
-  // delay-timer arming rule as SubmitRow.
-  if (was_empty && !pending_.empty()) work_cv_.notify_one();
+  // One wake at most, whenever rows are left pending. Testing only the
+  // empty->non-empty transition at entry (SubmitRow's rule) loses wakeups
+  // here: a mid-call DispatchLocked drops mu_, the flusher can find the queue
+  // empty and go back to its untimed wait, and the rows pushed afterwards
+  // would then sit until some later submit.
+  if (!pending_.empty()) work_cv_.notify_one();
   lock.unlock();
   if (!rejected.empty()) {
     auto err = std::make_exception_ptr(

@@ -5,7 +5,8 @@
 
 /// \file crc32.h
 /// \brief CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the zlib
-/// checksum, computed without the dependency.
+/// checksum, computed without the dependency (slicing-by-8: eight input bytes
+/// per step through eight 256-entry tables; portable, any byte order).
 ///
 /// Used to seal parameter payloads (nn/serialize) and model-state transfer
 /// frames (serve/state_transfer): a truncated or bit-flipped payload must

@@ -26,13 +26,14 @@ class ThreadPool {
  public:
   /// \param num_threads worker count; 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(size_t num_threads = 0);
-  ~ThreadPool();
+  virtual ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// \brief Enqueue a task; returns immediately.
-  void Submit(std::function<void()> task);
+  /// \brief Enqueue a task; returns immediately. Virtual so a test can stall
+  /// or observe a component's handoff to its pool.
+  virtual void Submit(std::function<void()> task);
 
   /// \brief Enqueue a callable and get a future for its result.
   ///

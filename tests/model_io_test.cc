@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <unistd.h>
 
@@ -180,6 +181,50 @@ TEST_F(ModelIoFixture, ByteBufferRoundTripMatchesFileFormat) {
   EXPECT_NE(bad.status().message().find("unit test buffer"),
             std::string::npos)
       << bad.status().ToString();
+}
+
+TEST_F(ModelIoFixture, LoadedParamsAndAnswersAreBitIdentical) {
+  // The loader shapes a model without drawing init weights, so every value
+  // it serves must come from the bytes: compare each parameter bit for bit,
+  // then both inference paths.
+  SelNetCt model(cfg_);
+  model.Fit(ctx_);
+  auto bytes = SaveModelBytes(model);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto loaded = LoadModelBytes(bytes.ValueOrDie(), "unit test buffer");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SelNetCt* restored = loaded.ValueOrDie().get();
+
+  std::vector<ag::Var> want = model.Params();
+  std::vector<ag::Var> got = restored->Params();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(want[p]->value.rows(), got[p]->value.rows()) << "param " << p;
+    ASSERT_EQ(want[p]->value.cols(), got[p]->value.cols()) << "param " << p;
+    EXPECT_EQ(std::memcmp(want[p]->value.data(), got[p]->value.data(),
+                          want[p]->value.size() * sizeof(float)),
+              0)
+        << "param " << p;
+  }
+
+  data::Batch b = data::MaterializeAll(wl_.queries, wl_.test);
+  Matrix ya = model.Predict(b.x, b.t);
+  Matrix yb = restored->Predict(b.x, b.t);
+  for (size_t i = 0; i < ya.size(); ++i) {
+    EXPECT_EQ(ya.data()[i], yb.data()[i]) << "row " << i;
+  }
+  std::vector<float> ts;
+  for (int k = 1; k <= 12; ++k) ts.push_back(cfg_.tmax * float(k) / 12.0f);
+  for (size_t q = 0; q < wl_.queries.rows(); ++q) {
+    std::vector<float> sa =
+        model.SweepEstimate(wl_.queries.row(q), ts.data(), ts.size());
+    std::vector<float> sb =
+        restored->SweepEstimate(wl_.queries.row(q), ts.data(), ts.size());
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t k = 0; k < sa.size(); ++k) {
+      EXPECT_EQ(sa[k], sb[k]) << "query " << q << " threshold " << k;
+    }
+  }
 }
 
 TEST(CsvTest, EscapesSpecialCharacters) {

@@ -398,6 +398,74 @@ TEST(BatchSchedulerTest, RowsAreGroupedByModelRoute) {
   EXPECT_LE(calls.size(), 10u);
 }
 
+// A pool whose next Submit can be made to block: stalls the scheduler's pool
+// handoff, the one stretch where DispatchLocked runs without the lock.
+class StallingPool : public util::ThreadPool {
+ public:
+  StallingPool() : util::ThreadPool(2) {}
+  void Submit(std::function<void()> task) override {
+    if (stall_next_.exchange(false)) std::this_thread::sleep_for(stall_);
+    util::ThreadPool::Submit(std::move(task));
+  }
+  void StallNext(std::chrono::milliseconds d) {
+    stall_ = d;
+    stall_next_.store(true);
+  }
+
+ private:
+  std::atomic<bool> stall_next_{false};
+  std::chrono::milliseconds stall_{0};
+};
+
+TEST(BatchSchedulerTest, SubmitRowsWakesFlusherAfterMidCallDispatch) {
+  // One row is pending, so SubmitRows starts on a non-empty queue. Its rows
+  // fill a batch mid-call; that dispatch stalls in the pool for many flush
+  // delays, during which the flusher's timer fires on an empty queue and it
+  // goes back to its untimed wait. The rows SubmitRows pushes afterwards must
+  // still wake it: otherwise they wait for some later submit that never
+  // comes.
+  // Declared first so they outlive the scheduler, which answers any row
+  // still pending when it shuts down.
+  std::vector<std::promise<float>> promises(7);
+  StallingPool pool;
+  SchedulerConfig cfg;
+  cfg.dim = 1;
+  cfg.max_batch = 4;
+  cfg.max_delay_ms = 5.0;
+  cfg.pool = &pool;
+  BatchScheduler scheduler(cfg, FakePredict);
+
+  auto row_for = [&](size_t i) {
+    BatchScheduler::Row row;
+    row.x = {float(i)};
+    row.done = [&promises, i](float value, std::exception_ptr error,
+                              const BatchScheduler::RowTiming&) {
+      if (error) {
+        promises[i].set_exception(error);
+      } else {
+        promises[i].set_value(value);
+      }
+    };
+    return row;
+  };
+  std::vector<std::future<float>> futures;
+  for (auto& p : promises) futures.push_back(p.get_future());
+
+  float x0[1] = {0.0f};
+  scheduler.SubmitRow("", x0, 0.0f, std::move(row_for(0).done));
+  pool.StallNext(std::chrono::milliseconds(200));
+  std::vector<BatchScheduler::Row> rows;
+  for (size_t i = 1; i < promises.size(); ++i) rows.push_back(row_for(i));
+  scheduler.SubmitRows(std::move(rows));  // Rows 4..6 stay pending.
+
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "row " << i << " was never flushed";
+    EXPECT_FLOAT_EQ(futures[i].get(), float(i));
+  }
+}
+
 TEST(BatchSchedulerTest, SubmitRowInvokesCallbackWithLatency) {
   SchedulerConfig cfg;
   cfg.dim = 2;

@@ -133,11 +133,33 @@ TEST_F(UpdaterFixture, ParallelPatchMatchesSerialReference) {
 
 TEST_F(UpdaterFixture, CloneIsDeepAndPredictsIdentically) {
   std::unique_ptr<SelNetCt> clone = model_->Clone();
+  // Clone shapes its parameters without init draws, so each value must be
+  // the source's, bit for bit.
+  std::vector<ag::Var> src = model_->Params();
+  std::vector<ag::Var> dst = clone->Params();
+  ASSERT_EQ(src.size(), dst.size());
+  for (size_t p = 0; p < src.size(); ++p) {
+    ASSERT_EQ(src[p]->value.size(), dst[p]->value.size()) << "param " << p;
+    EXPECT_NE(src[p].get(), dst[p].get()) << "param " << p << " is shared";
+    for (size_t i = 0; i < src[p]->value.size(); ++i) {
+      ASSERT_EQ(src[p]->value.data()[i], dst[p]->value.data()[i])
+          << "param " << p << " element " << i;
+    }
+  }
   data::Batch b = data::MaterializeAll(wl_.queries, wl_.test);
   tensor::Matrix original = model_->Predict(b.x, b.t);
   tensor::Matrix cloned = clone->Predict(b.x, b.t);
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(original.data()[i], cloned.data()[i]) << "row " << i;
+  }
+  const float ts[4] = {0.1f * wl_.tmax, 0.3f * wl_.tmax, 0.6f * wl_.tmax,
+                       wl_.tmax};
+  for (size_t q = 0; q < wl_.queries.rows(); ++q) {
+    std::vector<float> a = model_->SweepEstimate(wl_.queries.row(q), ts, 4);
+    std::vector<float> c = clone->SweepEstimate(wl_.queries.row(q), ts, 4);
+    for (size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(a[k], c[k]) << "query " << q << " threshold " << k;
+    }
   }
   // Deep: mutating the source must not leak into the clone.
   for (const auto& p : model_->Params()) {
@@ -147,6 +169,44 @@ TEST_F(UpdaterFixture, CloneIsDeepAndPredictsIdentically) {
   tensor::Matrix after = clone->Predict(b.x, b.t);
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(original.data()[i], after.data()[i]) << "row " << i;
+  }
+}
+
+TEST_F(UpdaterFixture, CloneContinuesIncrementalFitLikeSource) {
+  // Relabel so the continued training has something to learn: both runs
+  // must then take the same shuffles and Adam steps, i.e. the clone carries
+  // the source's rng stream and pretraining state, not fresh ones.
+  data::Workload shifted = wl_;
+  for (auto* split : {&shifted.train, &shifted.valid, &shifted.test}) {
+    for (data::QuerySample& s : *split) s.y = s.y * 1.5f + 2.0f;
+  }
+  eval::TrainContext ctx = ctx_;
+  ctx.workload = &shifted;
+  std::unique_ptr<SelNetCt> clone = model_->Clone();
+  std::vector<tensor::Matrix> before = nn::SnapshotParams(model_->Params());
+
+  size_t source_epochs = model_->IncrementalFit(ctx, /*patience=*/2, 3);
+  size_t clone_epochs = clone->IncrementalFit(ctx, /*patience=*/2, 3);
+  EXPECT_EQ(source_epochs, clone_epochs);
+
+  std::vector<ag::Var> src = model_->Params();
+  std::vector<ag::Var> dst = clone->Params();
+  ASSERT_EQ(src.size(), dst.size());
+  bool moved = false;
+  for (size_t p = 0; p < src.size(); ++p) {
+    for (size_t i = 0; i < src[p]->value.size(); ++i) {
+      ASSERT_EQ(src[p]->value.data()[i], dst[p]->value.data()[i])
+          << "param " << p << " element " << i;
+      moved = moved || src[p]->value.data()[i] != before[p].data()[i];
+    }
+  }
+  EXPECT_TRUE(moved) << "the relabelled fit kept the initial weights, so "
+                        "the comparison proves nothing";
+  data::Batch b = data::MaterializeAll(shifted.queries, shifted.test);
+  tensor::Matrix ya = model_->Predict(b.x, b.t);
+  tensor::Matrix yb = clone->Predict(b.x, b.t);
+  for (size_t i = 0; i < ya.size(); ++i) {
+    EXPECT_EQ(ya.data()[i], yb.data()[i]) << "row " << i;
   }
 }
 

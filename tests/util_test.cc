@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -178,6 +179,33 @@ TEST(ParallelForTest, EmptyAndTinyRanges) {
   EXPECT_EQ(count.load(), 0);
   ParallelFor(0, 3, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ParallelForTest, ManyShortCallsFromOutsideThePoolAllReturnCleanly) {
+  // Each call's completion state (mutex, condvar, counters) lives on the
+  // caller's stack. Back-to-back short calls from several non-pool threads
+  // reuse that stack at once, so a worker touching it after the caller
+  // returned is reported by ASan with detect_stack_use_after_return=1, and
+  // shows in plain builds, rarely, as an abort, a hang or a wrong sum. More
+  // callers than cores: preemption between a worker's last steps widens the
+  // window.
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 5000;
+  constexpr size_t kRange = 48;
+  std::atomic<int> bad_sums{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kThreads; ++c) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCallsPerThread; ++call) {
+        std::atomic<size_t> sum{0};
+        ParallelFor(0, kRange, [&](size_t i) { sum.fetch_add(i + 1); },
+                    /*grain=*/4);
+        if (sum.load() != kRange * (kRange + 1) / 2) bad_sums.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad_sums.load(), 0);
 }
 
 TEST(TableTest, RendersAlignedColumns) {
@@ -507,6 +535,9 @@ TEST(Crc32Test, MatchesKnownVectorAndChunksCompose) {
   // The classic IEEE CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  // Seed chaining across the 8-byte block boundary.
+  EXPECT_EQ(Crc32("6789", 4, Crc32("12345", 5)), 0xCBF43926u);
   // Chunked computation must equal one-shot.
   const std::string data = "selectivity estimation over the wire";
   uint32_t whole = Crc32(data.data(), data.size());
@@ -517,6 +548,67 @@ TEST(Crc32Test, MatchesKnownVectorAndChunksCompose) {
   std::string corrupt = data;
   corrupt[7] ^= 0x20;
   EXPECT_NE(Crc32(corrupt.data(), corrupt.size()), whole);
+}
+
+/// The byte-at-a-time table CRC: the reference the production slicing-by-8
+/// implementation must match bit for bit.
+uint32_t ReferenceCrc32(const void* data, size_t len, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesByteAtATimeReferenceAtEveryLengthAndOffset) {
+  ASSERT_EQ(ReferenceCrc32("123456789", 9, 0), 0xCBF43926u);
+  constexpr size_t kMaxLen = 4096;
+  constexpr size_t kAlign = 8;
+  std::vector<unsigned char> buf(kMaxLen + kAlign);
+  Rng rng(20260);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  for (size_t offset = 0; offset < kAlign; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChunkedCallsContinueFromSeed) {
+  constexpr size_t kLen = 4096 + 5;
+  std::vector<unsigned char> buf(kLen);
+  Rng rng(77);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  const uint32_t whole = ReferenceCrc32(buf.data(), kLen, 0);
+  ASSERT_EQ(Crc32(buf.data(), kLen), whole);
+  // Split points on and off the 8-byte block grid, plus ragged chunk sizes.
+  for (size_t split = 0; split <= 64; ++split) {
+    uint32_t c = Crc32(buf.data(), split);
+    EXPECT_EQ(Crc32(buf.data() + split, kLen - split, c), whole)
+        << "split " << split;
+  }
+  for (size_t chunk : {1u, 3u, 7u, 8u, 9u, 13u, 64u, 1000u}) {
+    uint32_t c = 0;
+    for (size_t pos = 0; pos < kLen; pos += chunk) {
+      c = Crc32(buf.data() + pos, std::min(chunk, kLen - pos), c);
+    }
+    EXPECT_EQ(c, whole) << "chunk " << chunk;
+  }
+  // An arbitrary non-zero seed continues the same way in both.
+  EXPECT_EQ(Crc32(buf.data() + 3, 1021, 0xDEADBEEFu),
+            ReferenceCrc32(buf.data() + 3, 1021, 0xDEADBEEFu));
 }
 
 }  // namespace
